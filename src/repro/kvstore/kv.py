@@ -38,6 +38,19 @@ class KVError(Exception):
     """Key-value layer errors (oversized values, bad keys)."""
 
 
+def check_value(value, limit: int) -> None:
+    """Raise :class:`KVError` unless ``value`` is ``bytes``-like and at
+    most ``limit`` bytes long (a store's
+    :attr:`~LogStructuredKVStore.max_value_bytes`)."""
+    if not isinstance(value, (bytes, bytearray)):
+        raise KVError("values must be bytes, got %s" % type(value).__name__)
+    if len(value) > limit:
+        raise KVError(
+            "value of %d bytes exceeds the %d-byte record limit"
+            % (len(value), limit)
+        )
+
+
 class LogStructuredKVStore:
     """A key-value store whose value log is cleaned by a pluggable
     policy.
@@ -90,14 +103,8 @@ class LogStructuredKVStore:
     def put(self, key: Key, value: bytes) -> None:
         """Insert or overwrite; the old record's space is reclaimable
         from this moment."""
-        if not isinstance(value, (bytes, bytearray)):
-            raise KVError("values must be bytes, got %s" % type(value).__name__)
-        units = self._units_for(bytes(value))
-        if units > self.store.config.segment_units:
-            raise KVError(
-                "value of %d bytes exceeds the %d-byte record limit"
-                % (len(value), self.max_value_bytes)
-            )
+        check_value(value, self.max_value_bytes)
+        units = self._units_for(value)
         slot = self._slot_of.get(key)
         if slot is None:
             slot = self._free_slots.pop() if self._free_slots else self._next_slot
@@ -133,20 +140,15 @@ class LogStructuredKVStore:
                 for key, value in staged[:count]:
                     self._values[key] = value
 
+        limit = self.max_value_bytes
         for key, value in items:
-            if not isinstance(value, (bytes, bytearray)):
+            try:
+                check_value(value, limit)
+            except KVError:
                 apply(len(staged))
-                raise KVError(
-                    "values must be bytes, got %s" % type(value).__name__
-                )
+                raise
             value = bytes(value)
             u = self._units_for(value)
-            if u > self.store.config.segment_units:
-                apply(len(staged))
-                raise KVError(
-                    "value of %d bytes exceeds the %d-byte record limit"
-                    % (len(value), self.max_value_bytes)
-                )
             slot = self._slot_of.get(key)
             if slot is None:
                 slot = self._free_slots.pop() if self._free_slots else self._next_slot

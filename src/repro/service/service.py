@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Union
 
+from repro.kvstore import check_value
 from repro.obs import (
     PAGES_EDGES,
     MetricsRegistry,
@@ -133,6 +134,9 @@ class Service:
         # memoizing ring lookups turns the per-op blake2b hash into a
         # dict hit; scale_to() invalidates it when the ring changes.
         self._routes: Dict[tuple, int] = {}
+        #: Record limit every shard enforces, checked at acknowledgement
+        #: so a bad value fails its own put, not a later flush.
+        self._value_limit = self.pool.shards[0].max_value_bytes
         self._c_puts = self.metrics.counter("puts")
         self._c_deletes = self.metrics.counter("deletes")
         self._c_gets = self.metrics.counter("gets")
@@ -146,11 +150,6 @@ class Service:
         ]
 
     # -- internals -------------------------------------------------------
-
-    @staticmethod
-    def _skey(tenant: Optional[Key], key: Key) -> tuple:
-        """The stored (namespaced) form of a client key."""
-        return (tenant, key)
 
     def shard_of(self, key: Key, tenant: Optional[Key] = None) -> int:
         """The shard index owning ``key`` under ``tenant``."""
@@ -175,12 +174,20 @@ class Service:
 
     def put(self, key: Key, value: bytes, tenant: Optional[Key] = None) -> int:
         """Acknowledge an upsert into the ingest queue; returns the
-        owning shard index."""
+        owning shard index.  Raises :class:`~repro.kvstore.KVError`,
+        with nothing queued, for a non-``bytes`` or oversized value."""
+        # Inline fast path for plain bytes; anything else goes to
+        # check_value, which raises unless it is a small enough bytearray.
+        if not isinstance(value, bytes) or len(value) > self._value_limit:
+            check_value(value, self._value_limit)
         tracer = self.tracer
         span = tracer.start("service.put") if tracer is not None else None
-        shard = self.shard_of(key, tenant)
+        skey = (tenant, key)
+        shard = self._routes.get(skey)
+        if shard is None:
+            shard = self.shard_of(key, tenant)
         self._c_puts.inc()
-        self.queue.put(shard, self._skey(tenant, key), value)
+        self.queue.put(shard, skey, value)
         if span is not None:
             tracer.finish(span, shard=shard)
         return shard
@@ -189,9 +196,12 @@ class Service:
         """Acknowledge a delete; returns the owning shard index."""
         tracer = self.tracer
         span = tracer.start("service.delete") if tracer is not None else None
-        shard = self.shard_of(key, tenant)
+        skey = (tenant, key)
+        shard = self._routes.get(skey)
+        if shard is None:
+            shard = self.shard_of(key, tenant)
         self._c_deletes.inc()
-        self.queue.delete(shard, self._skey(tenant, key))
+        self.queue.delete(shard, skey)
         if span is not None:
             tracer.finish(span, shard=shard)
         return shard
@@ -203,9 +213,11 @@ class Service:
         default: Optional[bytes] = None,
     ) -> Optional[bytes]:
         """Read-your-writes fetch: pending queue first, then the shard."""
-        shard = self.shard_of(key, tenant)
+        skey = (tenant, key)
+        shard = self._routes.get(skey)
+        if shard is None:
+            shard = self.shard_of(key, tenant)
         self._c_gets.inc()
-        skey = self._skey(tenant, key)
         pending = self.queue.pending_value(shard, skey)
         if pending is not None:
             return pending[2] if pending[0] == OP_PUT else default
@@ -351,7 +363,7 @@ class Service:
                     "wamp": round(kv.write_amplification, 4),
                     "fill": round(store.fill_factor_now(), 4),
                     "free_segments": store.free_segment_count,
-                    "queue_depth": len(self.queue._pending[i]),
+                    "queue_depth": self.queue.shard_depth(i),
                     "write_stalls": stalls,
                     "stall_p99_pages": round(stall_p99, 2),
                 }

@@ -129,6 +129,45 @@ class TestBackpressure:
         assert value is None  # latest op is the delete
 
 
+class CountingKey:
+    """A key that counts the equality comparisons made against it."""
+
+    eq_calls = 0
+
+    def __init__(self, n):
+        self.n = n
+
+    def __hash__(self):
+        return hash(self.n)
+
+    def __eq__(self, other):
+        CountingKey.eq_calls += 1
+        return isinstance(other, CountingKey) and self.n == other.n
+
+
+class TestPendingLookupCost:
+    def _misses_at_depth(self, depth):
+        q = IngestQueue(make_shards(1), batch_size=256, flush_interval=100)
+        for i in range(depth):
+            q.put(0, CountingKey(i), b"v")
+        assert q.shard_depth(0) == depth
+        CountingKey.eq_calls = 0
+        assert q.pending_value(0, CountingKey(10**6)) is None
+        return CountingKey.eq_calls
+
+    def test_miss_does_constant_comparisons(self):
+        # A scan of the pending run would compare against all 255 keys.
+        assert self._misses_at_depth(255) == self._misses_at_depth(1) <= 1
+
+    def test_hit_on_oldest_key_does_constant_comparisons(self):
+        q = IngestQueue(make_shards(1), batch_size=256, flush_interval=100)
+        for i in range(255):
+            q.put(0, CountingKey(i), b"v%d" % i)
+        CountingKey.eq_calls = 0
+        assert q.pending_value(0, CountingKey(0))[2] == b"v0"
+        assert CountingKey.eq_calls <= 1
+
+
 class TestShapeAndValidation:
     def test_add_shard_tracks_new_pending_list(self):
         shards = make_shards(1)
@@ -145,6 +184,17 @@ class TestShapeAndValidation:
             IngestQueue(shards, flush_interval=0)
         with pytest.raises(ValueError):
             IngestQueue(shards, batch_size=8, max_depth=4)
+
+    def test_shard_depth_counts_ops_before_coalescing(self):
+        shards = make_shards(2)
+        q = IngestQueue(shards, batch_size=100, flush_interval=100)
+        for _ in range(3):
+            q.put(0, "hot", b"v")
+        q.delete(0, "hot")
+        assert q.shard_depth(0) == 4 and q.shard_depth(1) == 0
+        assert q.depth == 4
+        assert q.flush_shard(0) == 4
+        assert q.shard_depth(0) == 0 and q.depth == 0
 
     def test_depth_samples_record_tick_depths(self):
         shards = make_shards(1)

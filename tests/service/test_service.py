@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.kvstore import KVError
 from repro.obs.export import validate_rows
 from repro.service import Service
 from repro.store import StoreConfig
@@ -73,6 +74,47 @@ class TestClientSemantics:
             key = "k%d" % i
             assert svc.shard_of(key, "t") == svc.shard_of(key, "t")
             assert svc.put(key, b"v", tenant="t") == svc.shard_of(key, "t")
+
+
+class TestValueValidation:
+    def make(self):
+        return Service(
+            1,
+            StoreConfig(
+                n_segments=64, segment_units=32, fill_factor=0.5,
+                clean_trigger=2, clean_batch=4,
+            ),
+            unit_bytes=16,
+            batch_size=4,
+        )
+
+    def test_oversized_put_fails_its_own_caller(self):
+        svc = self.make()
+        svc.put("a", b"x")
+        with pytest.raises(KVError, match="record limit"):
+            svc.put("big", b"y" * 10000)
+        assert svc.queue.depth == 1  # nothing queued for the bad put
+        svc.delete("a")
+        svc.put("c", b"z")  # the flush that used to raise
+        assert svc.get("c") == b"z"
+        svc.flush()
+        assert svc.get("c") == b"z"
+        assert svc.get("a") is None and svc.get("big") is None
+        assert svc.metrics.snapshot().counters["puts"] == 2
+
+    def test_non_bytes_value_rejected_before_queueing(self):
+        svc = self.make()
+        with pytest.raises(KVError, match="must be bytes"):
+            svc.put("k", "text")
+        assert svc.queue.depth == 0 and svc.get("k") is None
+
+    def test_limit_is_one_segment_of_units(self):
+        svc = self.make()
+        svc.put("edge", b"y" * (32 * 16))
+        with pytest.raises(KVError):
+            svc.put("over", b"y" * (32 * 16 + 1))
+        svc.flush()
+        assert svc.get("edge") == b"y" * 512
 
 
 class TestTickAndFlush:
@@ -184,6 +226,16 @@ class TestObservability:
         assert counters["deletes"] == 1
         assert counters["gets"] == 1
         assert counters["ops_flushed"] == 3
+
+    def test_telemetry_queue_depth_counts_duplicate_puts(self):
+        svc = make_service(batch_size=1000, flush_interval=1000)
+        for _ in range(3):
+            svc.put("hot", b"v", tenant="t")
+        shard = svc.shard_of("hot", "t")
+        row = svc.telemetry_row()
+        assert row["queue_depth"] == 3
+        assert row["shards"][shard]["queue_depth"] == 3
+        assert sum(s["queue_depth"] for s in row["shards"]) == 3
 
     def test_close_detaches_observers(self):
         svc = make_service(2)
