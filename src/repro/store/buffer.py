@@ -13,7 +13,9 @@ buffered pages never create garbage in segments.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
+
+import numpy as np
 
 
 class SortBuffer:
@@ -59,9 +61,9 @@ class SortBuffer:
         """Discard a buffered page (TRIM of a not-yet-persisted write)."""
         self.used_units -= self._sizes.pop(page_id)
 
-    def drain(self) -> List[int]:
+    def drain(self) -> np.ndarray:
         """Remove and return all buffered page ids in insertion order."""
-        pids = list(self._sizes)
+        pids = np.fromiter(self._sizes, dtype=np.int64, count=len(self._sizes))
         self._sizes.clear()
         self.used_units = 0
         return pids

@@ -26,10 +26,10 @@ Write paths
 :meth:`LogStructuredStore.write` is the scalar reference path: one page
 per call, one branch per bookkeeping rule.  :meth:`write_batch` is the
 vectorized engine the benchmarks drive: it splits a workload batch into
-*runs* — maximal prefixes with distinct page ids that fit the open
-segment (or the sorting buffer) — applies each run's bookkeeping with
-numpy fancy indexing, and falls back to the scalar path for exactly the
-writes that cross a seal / flush / clean boundary.  The two paths are
+*runs* — maximal prefixes that fit the open segment (or the sorting
+buffer), repeated page ids included — applies each run's bookkeeping
+with numpy fancy indexing, and falls back to the scalar path for exactly
+the writes that cross a seal / flush / clean boundary.  The two paths are
 bit-identical: every float accumulation in the batch path replays the
 scalar update order (``np.add.at`` and ``np.cumsum`` are sequential
 left-to-right folds), which the differential test suite locks down by
@@ -92,8 +92,23 @@ GC_STREAM = -1
 #: Batch chunk for the sequential load (one workload batch's worth).
 _LOAD_CHUNK = 1 << 14
 
-#: How far ahead a run may scan for a duplicate page id before chunking.
-_DUP_WINDOW = 1 << 12
+#: Most writes one run may take: caps the slice a run's prefix
+#: arithmetic (capacity cumsums, invalidation grouping) touches.
+_RUN_WINDOW = 1 << 12
+
+
+def _occurrence_rank(pids: np.ndarray) -> np.ndarray:
+    """0-based count of earlier occurrences of each position's page id."""
+    order = np.argsort(pids, kind="stable")
+    spids = pids[order]
+    m = spids.size
+    idx = np.arange(m)
+    newgrp = np.empty(m, dtype=bool)
+    newgrp[0] = True
+    newgrp[1:] = spids[1:] != spids[:-1]
+    rank = np.empty(m, dtype=np.int64)
+    rank[order] = idx - np.maximum.accumulate(np.where(newgrp, idx, 0))
+    return rank
 
 
 def _stream_runs(streams: np.ndarray):
@@ -290,9 +305,11 @@ class LogStructuredStore:
         """Apply a batch of user updates — equivalent to calling
         :meth:`write` once per element, but vectorized.
 
-        The batch is consumed as runs of *distinct* page ids that fit the
-        current open segment (direct placement) or the sorting buffer;
-        each run's invalidation, placement, and statistics bookkeeping is
+        The batch is consumed as runs that fit the current open segment
+        (direct placement) or the sorting buffer; a repeated page id
+        stays inside its run, so runs end only at stream changes and
+        seal / flush / clean boundaries.  Each run's invalidation,
+        placement, and statistics bookkeeping is
         applied with array operations that replay the exact scalar update
         order, so batch and scalar execution produce byte-identical state
         (the testkit's :func:`~repro.testkit.trace.state_digest` is the
@@ -336,33 +353,25 @@ class LogStructuredStore:
             uniform_routes = bool((routes == routes[0]).all())
 
         prev = _prev_occurrence(pids)
-        direct = self.buffer is None
         start = 0
         while start < n:
-            stop = min(n, start + _DUP_WINDOW)
-            if direct:
-                # The direct path handles repeated page ids inside a run
-                # (the dup's old location is a known slot of the open
-                # segment); runs break only at stream changes and
-                # capacity boundaries.
-                limit = stop
-            else:
-                # The buffered path replays rewrites through the sort
-                # buffer's replace bookkeeping; a repeated id ends the
-                # run so table state is committed before it recurs.
-                dup = np.flatnonzero(prev[start:stop] >= start)
-                limit = start + int(dup[0]) if dup.size else stop
+            # Repeated page ids stay inside a run on both paths (the
+            # dup's old location is the slot or buffer entry its previous
+            # occurrence just filled); runs end only at stream changes
+            # and seal / flush / clean boundaries.
+            limit = min(n, start + _RUN_WINDOW)
             run = pids[start:limit]
             run_sizes = None if size_arr is None else size_arr[start:limit]
-            if not direct:
-                took = self._write_run_buffered(run, run_sizes)
+            prev_rel = prev[start:limit] - start
+            if routes is None:
+                took = self._write_run_buffered(run, run_sizes, prev_rel)
             else:
                 took = self._write_run_direct(
                     run,
                     run_sizes,
                     routes[start:limit],
                     uniform_routes,
-                    prev[start:limit] - start,
+                    prev_rel,
                 )
             if took == 0:
                 # Boundary write: the next write seals, flushes, or
@@ -438,21 +447,22 @@ class LogStructuredStore:
         pids = buffer.drain()
         obs = self.obs
         if obs is not None:
-            obs.on_flush(len(pids))
+            obs.on_flush(pids.size)
         self._resolve_first_writes(pids)
-        keys = self.policy.user_sort_key(pids)
-        if keys is not None:
-            pids = [pid for _, pid in sorted(zip(keys, pids))]
         policy = self.policy
-        arr = np.asarray(pids, dtype=np.int64)
-        routes = policy.route_user_batch(arr)
+        keys = policy.user_sort_key(pids)
+        if keys is not None:
+            # Key ascending, ties by page id.  First writes were just
+            # given a key, so none is NaN.
+            pids = pids[np.lexsort((pids, keys))]
+        routes = policy.route_user_batch(pids)
         if routes is None:
-            for pid in pids:
+            for pid in pids.tolist():
                 self._emit(pid, policy.route_user(pid), is_gc=False)
             return
         routes = np.ascontiguousarray(routes, dtype=np.int64)
         for start, stop in _stream_runs(routes):
-            self._emit_run(arr[start:stop], int(routes[start]), is_gc=False)
+            self._emit_run(pids[start:stop], int(routes[start]), is_gc=False)
 
     def set_oracle_frequencies(self, freqs: Sequence[float]) -> None:
         """Install exact per-page update frequencies for the ``-opt``
@@ -599,18 +609,17 @@ class LogStructuredStore:
         segs.up1[seg] = self.clock
         segs.epoch[seg] += 1
 
-    def _resolve_first_writes(self, pids: Sequence[int]) -> None:
+    def _resolve_first_writes(self, pids: np.ndarray) -> None:
         """Give never-before-written pages a "coldish" up2: the oldest up2
         in the batch being processed (Section 5.2.2, "First Write")."""
         carried = self.pages.carried_up2
-        arr = np.asarray(pids, dtype=np.int64)
-        vals = carried[arr]
+        vals = carried[pids]
         nan = np.isnan(vals)
         known = vals[~nan]
         cold = float(known.min()) if known.size else self._cold_up2
         self._cold_up2 = cold
         if nan.any():
-            carried[arr[nan]] = cold
+            carried[pids[nan]] = cold
 
     def _emit(self, page_id: int, stream: int, is_gc: bool) -> None:
         """Append ``page_id`` to the open segment of ``stream``, sealing
@@ -873,22 +882,35 @@ class LogStructuredStore:
         return k
 
     def _write_run_buffered(
-        self, run: np.ndarray, run_sizes: Optional[np.ndarray]
+        self,
+        run: np.ndarray,
+        run_sizes: Optional[np.ndarray],
+        prev_rel: np.ndarray,
     ) -> int:
         """Absorb as many of ``run`` as the sorting buffer takes without
         flushing; returns the number of writes consumed (0 when the next
-        write must flush first)."""
+        write must flush first).
+
+        ``prev_rel`` is as for :meth:`_write_run_direct`.  A repeated id
+        finds its page in the buffer, put there by its previous
+        occurrence: its old location is ``IN_BUFFER`` and its old size
+        that occurrence's size, so it never invalidates a segment slot
+        and never needs a flush."""
         buffer = self.buffer
         pages = self.pages
         k0 = run.size
-        old_seg = pages.seg[run]
-        old_size = pages.size[run]
-        in_buf = old_seg == IN_BUFFER
         sz = (
             np.ones(k0, dtype=np.int64)
             if run_sizes is None
             else run_sizes
         )
+        old_seg = pages.seg[run]
+        old_size = pages.size[run]
+        dup = prev_rel >= 0
+        if dup.any():
+            old_seg[dup] = IN_BUFFER
+            old_size[dup] = sz[prev_rel[dup]]
+        in_buf = old_seg == IN_BUFFER
         # A rewrite of a buffered page replaces in place (net size delta,
         # no capacity check — mirroring SortBuffer.replace); a new page
         # must fit or the run ends at it (the scalar path flushes there).
@@ -915,19 +937,33 @@ class LogStructuredStore:
         self.clock = clock0 + k
         self.stats.user_writes += k
 
+        # Repeats carry IN_BUFFER, so only first occurrences can be on
+        # the device and reach the segment bookkeeping.
         self._invalidate_run(
             run, old_seg, old_size, clocks,
             subtract_freq=pages.oracle_active,
         )
         if in_buf.any():
-            # Midpoint rule for rewrites of still-buffered pages.
+            # Midpoint rule for rewrites of still-buffered pages.  A
+            # page's rewrites chain (each folds the previous result), so
+            # they are applied one occurrence rank at a time: every rank
+            # holds each page at most once, and rank order is write order.
             bp = np.flatnonzero(in_buf)
-            carried = pages.carried_up2[run[bp]]
-            known = ~np.isnan(carried)
-            if known.any():
-                sel = bp[known]
-                carried = carried[known]
-                pages.carried_up2[run[sel]] = carried + 0.5 * (
+            if dup[:k].any():
+                rank = _occurrence_rank(run[bp])
+                layers = [bp[rank == r] for r in range(int(rank.max()) + 1)]
+            else:
+                layers = [bp]
+            carried_up2 = pages.carried_up2
+            for sel in layers:
+                lpids = run[sel]
+                carried = carried_up2[lpids]
+                known = ~np.isnan(carried)
+                if not known.all():
+                    sel = sel[known]
+                    lpids = lpids[known]
+                    carried = carried[known]
+                carried_up2[lpids] = carried + 0.5 * (
                     clocks[sel].astype(np.float64) - carried
                 )
 
@@ -1345,7 +1381,11 @@ class LogStructuredStore:
         * every segment is in exactly one of free list / open map / sealed;
         * per-segment live counts and unit accounting match slot liveness;
         * every live page-table entry points at a matching slot;
-        * total live units never exceed device capacity.
+        * total live units never exceed device capacity;
+        * the sorting buffer holds exactly the ``IN_BUFFER`` pages, at
+          their page-table sizes, and its occupancy is their sum (it may
+          exceed capacity: a rewrite that grows a buffered page
+          replaces it in place without a flush).
         """
         segs = self.segments
         pages = self.pages
@@ -1397,6 +1437,21 @@ class LogStructuredStore:
                     "page %d staged IN_RELOCATION but not pending in the "
                     "active cycle" % pid
                 )
+        buffer = self.buffer
+        if buffer is not None:
+            buffered = buffer._sizes
+            for pid, size in buffered.items():
+                assert pages.seg[pid] == IN_BUFFER, (
+                    "buffered page %d has location %d" % (pid, pages.seg[pid])
+                )
+                assert pages.size[pid] == size, (
+                    "buffered page %d has size %d, page table says %d"
+                    % (pid, size, pages.size[pid])
+                )
+            assert buffer.used_units == sum(buffered.values()), (
+                "sort buffer used_units %d != buffered sizes %d"
+                % (buffer.used_units, sum(buffered.values()))
+            )
 
     def __repr__(self) -> str:
         return (

@@ -28,7 +28,7 @@ class TestBasics:
         buf = SortBuffer(8)
         for pid in (5, 3, 9):
             buf.add(pid, 1)
-        assert buf.drain() == [5, 3, 9]
+        assert buf.drain().tolist() == [5, 3, 9]
         assert len(buf) == 0
         assert buf.used_units == 0
         assert 5 not in buf
@@ -55,4 +55,4 @@ class TestReplace:
         buf.add(1, 1)
         buf.add(2, 1)
         buf.replace(1, 2)
-        assert buf.drain() == [1, 2]
+        assert buf.drain().tolist() == [1, 2]

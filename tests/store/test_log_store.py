@@ -234,6 +234,52 @@ class TestSortBuffer:
         seg, _ = store.pages.location(0)
         assert seg >= 0
 
+    def _buffered_store(self, buffered_config):
+        store = LogStructuredStore(buffered_config, make_policy("mdc"))
+        for pid in range(6):
+            store.write(pid, 1 + pid % 3)
+        store.check_invariants()
+        return store
+
+    def test_invariants_catch_corrupt_buffer_occupancy(self, buffered_config):
+        store = self._buffered_store(buffered_config)
+        store.buffer.used_units += 1
+        with pytest.raises(AssertionError, match="used_units"):
+            store.check_invariants()
+
+    def test_invariants_catch_dropped_buffered_page(self, buffered_config):
+        store = self._buffered_store(buffered_config)
+        # Dropped from the buffer while the page table still says
+        # IN_BUFFER (occupancy adjusted, so only membership is wrong).
+        store.buffer.remove(3)
+        with pytest.raises(AssertionError):
+            store.check_invariants()
+
+    def test_invariants_catch_buffered_page_not_in_buffer_state(
+        self, buffered_config
+    ):
+        store = self._buffered_store(buffered_config)
+        store.pages.seg[2] = -1
+        with pytest.raises(AssertionError, match="buffered page 2"):
+            store.check_invariants()
+
+    def test_invariants_catch_buffered_size_mismatch(self, buffered_config):
+        store = self._buffered_store(buffered_config)
+        store.pages.size[4] += 1
+        with pytest.raises(AssertionError, match="buffered page 4"):
+            store.check_invariants()
+
+    def test_invariants_allow_overfull_buffer_after_growth(
+        self, buffered_config
+    ):
+        store = LogStructuredStore(buffered_config, make_policy("mdc"))
+        cap = store.buffer.capacity_units
+        for pid in range(cap):
+            store.write(pid)
+        store.write(0, 3)  # in-place replace, no flush
+        assert store.buffer.used_units == cap + 2
+        store.check_invariants()
+
     def test_policies_without_separation_skip_buffer(self, buffered_config):
         store = LogStructuredStore(buffered_config, make_policy("greedy"))
         assert store.buffer is None

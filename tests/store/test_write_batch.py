@@ -10,11 +10,19 @@ sizes that stop fitting, rewrites inside a single batch, interleaved
 trims, and errors thrown mid-batch.
 """
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.policies import available_policies, make_policy
-from repro.store import LogStructuredStore, PageSizeError, StoreConfig
+from repro.store import (
+    IN_BUFFER,
+    IN_RELOCATION,
+    LogStructuredStore,
+    PageSizeError,
+    StoreConfig,
+)
 from repro.testkit.trace import state_digest
 
 
@@ -218,3 +226,128 @@ def test_batch_grows_page_table():
     high = np.array([cfg.user_pages + 100, cfg.user_pages + 500], dtype=np.int64)
     store.write_batch(high)
     assert store.pages.seg[int(high[1])] >= 0
+
+
+# ----------------------------------------------------------------------
+# Duplicate-heavy batches through the sorting buffer
+# ----------------------------------------------------------------------
+
+
+def _write_both(scalar_store, batch_store, pids, sizes=None):
+    for i, pid in enumerate(pids):
+        scalar_store.write(int(pid), 1 if sizes is None else int(sizes[i]))
+    batch_store.write_batch(pids, sizes=sizes)
+    assert state_digest(scalar_store) == state_digest(batch_store)
+    assert scalar_store.clean_pending == batch_store.clean_pending
+
+
+@st.composite
+def _buffered_dup_case(draw):
+    return {
+        "policy": draw(st.sampled_from(["mdc", "mdc-opt"])),
+        "sort_buffer": draw(st.integers(1, 2)),
+        "zipf_a": draw(st.floats(1.05, 1.5)),
+        "seed": draw(st.integers(0, 2**31 - 1)),
+        "sized": draw(st.booleans()),
+        # Share of the working set loaded up front; the rest is first
+        # written (and repeated) inside the driven batches.
+        "loaded": draw(st.sampled_from([0.0, 0.5, 1.0])),
+        "batch": draw(st.integers(8, 80)),
+        "n_batches": draw(st.integers(2, 10)),
+        "chain": draw(st.integers(3, 6)),
+        # Batch index before which a cleaning cycle is begun mid-flight
+        # (-1: never).
+        "clean_at": draw(st.integers(-1, 5)),
+        "clean_budget": draw(st.integers(0, 4)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_buffered_dup_case())
+def test_buffered_duplicate_batches_match_scalar(case):
+    """Sorting-buffer runs absorb repeated page ids; every batch must
+    still leave the exact state the scalar loop leaves."""
+    cfg, scalar_store, batch_store = _pair(
+        case["policy"], case["sort_buffer"]
+    )
+    rng = np.random.default_rng(case["seed"])
+    n = cfg.user_pages // 3 if case["sized"] else cfg.user_pages
+    if case["policy"] == "mdc-opt":
+        # Coarse frequencies, so the flush sort sees many ties.
+        freqs = (rng.integers(0, 4, size=cfg.user_pages) * 0.05).tolist()
+        scalar_store.set_oracle_frequencies(freqs)
+        batch_store.set_oracle_frequencies(freqs)
+    n_loaded = int(n * case["loaded"])
+    if n_loaded:
+        load_sizes = rng.integers(1, 3, size=n_loaded) if case["sized"] else None
+        scalar_store.load_sequential(n_loaded, load_sizes)
+        batch_store.load_sequential(n_loaded, load_sizes)
+    # Zipf ranks over a shuffled page set, so hot pages include
+    # never-written ones.
+    perm = rng.permutation(n)
+    for b in range(case["n_batches"]):
+        ranks = np.minimum(rng.zipf(case["zipf_a"], size=case["batch"]) - 1, n - 1)
+        pids = perm[ranks]
+        # A chain: one page written several times in this batch.
+        chain = case["chain"]
+        at = np.sort(rng.choice(pids.size + chain, chain, replace=False))
+        pids = np.insert(pids, at - np.arange(chain), perm[rng.integers(n)])
+        sealed = scalar_store.sealed_segments()
+        segs = scalar_store.segments
+        has_garbage = (segs.live_units[sealed] < segs.capacity).any()
+        if b == case["clean_at"] and has_garbage:
+            for store in (scalar_store, batch_store):
+                store.clean_begin()
+                store.clean_step(case["clean_budget"])
+            cur = batch_store.clean_cursor
+            if cur is not None:
+                rem = cur.pending[cur.pos :]
+                staged = rem[batch_store.pages.seg[rem] == IN_RELOCATION][:4]
+                # Each still-staged page rewritten twice in this batch.
+                pids = np.concatenate((staged, pids, staged))
+        pids = np.ascontiguousarray(pids, dtype=np.int64)
+        sizes = rng.integers(1, 4, size=pids.size) if case["sized"] else None
+        _write_both(scalar_store, batch_store, pids, sizes)
+        batch_store.check_invariants()
+
+
+def test_buffered_repeat_after_flush_boundary():
+    """A repeat whose first occurrence was flushed earlier in the same
+    batch finds the page on the device, not in the buffer."""
+    cfg, scalar_store, batch_store = _pair("mdc", 1)
+    cap = batch_store.buffer.capacity_units
+    pids = np.array(
+        [0, 1, 0, 2, 1] + list(range(3, cap)) + [cap, 0, 1, 0, cap],
+        dtype=np.int64,
+    )
+    _write_both(scalar_store, batch_store, pids)
+    assert batch_store.pages.seg[2] >= 0  # flushed
+    assert batch_store.pages.seg[cap] == IN_BUFFER
+    assert batch_store.pages.seg[1] == IN_BUFFER
+    assert len(batch_store.buffer) == 3
+    batch_store.check_invariants()
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+def test_repeated_ids_take_one_buffered_run(loaded):
+    """A batch with repeated page ids and no flush inside is consumed by
+    a single buffered run."""
+    cfg, scalar_store, batch_store = _pair("mdc", 2)
+    if loaded:
+        for store in (scalar_store, batch_store):
+            store.load_sequential(cfg.user_pages)
+            store.flush()
+    pids = np.array([5, 7, 5, 9, 5, 7, 11, 5, 9, 5], dtype=np.int64)
+    sizes = np.array([1, 2, 3, 1, 2, 2, 1, 1, 3, 2], dtype=np.int64)
+    calls = []
+    inner = batch_store._write_run_buffered
+
+    def counted(run, *args):
+        took = inner(run, *args)
+        calls.append((run.size, took))
+        return took
+
+    batch_store._write_run_buffered = counted
+    _write_both(scalar_store, batch_store, pids, sizes)
+    assert calls == [(pids.size, pids.size)]
+    assert batch_store.stats.user_writes == scalar_store.stats.user_writes
